@@ -54,7 +54,7 @@ fn main() {
     for table in tables {
         println!("{table}");
     }
-    println!("\nSee EXPERIMENTS.md for the paper-vs-measured interpretation of each table.");
+    println!("\nThe served engine's end-to-end benchmark is perfbench/ (see BENCHMARK.json).");
 }
 
 fn print_usage() {

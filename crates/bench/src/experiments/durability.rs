@@ -13,7 +13,7 @@
 //!
 //! The second table measures crash-consistent reopen: a tree is built and
 //! dropped *without* a checkpoint (everything since create lives only in
-//! the log), then [`TsbTree::open_durable`] must replay, purge, verify, and
+//! the log), then reopening the directory must replay, purge, verify, and
 //! re-fence. Recovery time is reported against the number of ops since the
 //! last checkpoint — the knob an operator turns (checkpoint cadence) to
 //! bound restart time.
@@ -295,7 +295,7 @@ fn recovery_table(scale: Scale) -> Table {
     };
     let mut table = Table::new(
         "E12b: crash-consistent reopen time vs ops since the last checkpoint",
-        "tree built then dropped with no checkpoint; open_durable replays the WAL, \
+        "tree built then dropped with no checkpoint; reopen replays the WAL, \
          erases in-flight txns, verifies, and re-fences"
             .to_string(),
         &[

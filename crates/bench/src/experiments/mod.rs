@@ -1,7 +1,8 @@
 //! The experiments (E1–E8). Each module builds its workloads, replays them
 //! into the structures under test, and returns printable [`Table`]s. The
-//! mapping from experiment id to paper artifact is in DESIGN.md §4; the
-//! measured results and their interpretation are recorded in EXPERIMENTS.md.
+//! mapping from experiment id to paper artifact is in the crate docs; the
+//! served engine's end-to-end benchmark is `perfbench/`, declared in
+//! `BENCHMARK.json`.
 
 pub mod ablation;
 pub mod baseline;

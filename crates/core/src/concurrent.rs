@@ -133,16 +133,6 @@ impl ConcurrentTsb {
         }
     }
 
-    /// Creates a fresh concurrent engine over in-memory stores.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::in_memory().config(cfg).open_concurrent()`"
-    )]
-    #[allow(deprecated)]
-    pub fn new_in_memory(cfg: TsbConfig) -> TsbResult<Self> {
-        Ok(Self::from_tree(TsbTree::new_in_memory(cfg)?))
-    }
-
     /// Creates a fresh concurrent engine over the provided stores (see
     /// [`TsbTree::create`]).
     pub fn create(
@@ -187,18 +177,6 @@ impl ConcurrentTsb {
         Ok(Self::from_tree(TsbTree::create_durable(
             magnetic, worm, wal, cfg,
         )?))
-    }
-
-    /// Opens (or creates) a durable engine rooted at directory `dir`,
-    /// running crash-consistent recovery when the directory holds a
-    /// previous session's state (see [`TsbTree::open_durable`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::durable(dir).config(cfg).open_concurrent()`"
-    )]
-    #[allow(deprecated)]
-    pub fn open_durable(dir: impl AsRef<std::path::Path>, cfg: TsbConfig) -> TsbResult<Self> {
-        Ok(Self::from_tree(TsbTree::open_durable(dir, cfg)?))
     }
 
     /// Unwraps the engine back into the single-threaded tree, if this is

@@ -33,14 +33,13 @@
 //!   two-phase-fence cross-shard transactions (see [`sharded`]).
 //! * [`SecondaryIndex`] — `<timestamp, secondary key, primary key>` indexes,
 //!   themselves TSB-trees (§3.6).
-//! * **Durability** — [`TsbTree::open_durable`] / [`TsbTree::recover`] /
-//!   [`TsbTree::checkpoint`]: a write-ahead redo log
-//!   ([`tsb_storage::Wal`]) makes the erasable current database
-//!   crash-consistent (the WORM side is durable by hardware). Every
-//!   mutation's page images are logged before they may dirty a page, a
-//!   commit fence ends each mutation, checkpoints fence replay, and
-//!   recovery replays the log, erases in-flight transactions, and
-//!   verifies before serving. [`ConcurrentTsb`] layers group commit
+//! * **Durability** — [`TsbOptions::durable`] / [`TsbTree::checkpoint`]:
+//!   a write-ahead redo log ([`tsb_storage::Wal`]) makes the erasable
+//!   current database crash-consistent (the WORM side is durable by
+//!   hardware). Every mutation's page images are logged before they may
+//!   dirty a page, a commit fence ends each mutation, checkpoints fence
+//!   replay, and recovery replays the log, erases in-flight transactions,
+//!   and verifies before serving. [`ConcurrentTsb`] layers group commit
 //!   ([`tsb_common::FsyncPolicy`]) on top.
 //! * [`TreeStats`] / [`TsbTree::verify`] — the measurements the paper's
 //!   evaluation plan calls for (total space, current-database space,

@@ -1,10 +1,8 @@
 //! [`TsbOptions`] — the one front door for opening an engine.
 //!
-//! The crate accumulated a constructor per (engine flavour × backing ×
-//! knob) combination: `new_in_memory(cfg)`, `open_durable(dir, cfg)`,
-//! `open_durable(dir, shards, cfg)`, each threading the same
-//! [`TsbConfig`] flags by hand. This builder replaces that proliferation
-//! with a single chain that names each decision once:
+//! One builder chain names each decision — backing, configuration, shard
+//! count, engine flavour — once, instead of a constructor per
+//! combination:
 //!
 //! ```no_run
 //! use tsb_common::{FsyncPolicy, WalMode};
@@ -28,13 +26,11 @@
 //! * [`TsbOptions::open_tree`] — a bare single-threaded [`TsbTree`].
 //! * [`TsbOptions::open_replica`] — a [`ReplicaEngine`] awaiting (or
 //!   recovering) a shipped log at the directory.
-//!
-//! The per-flavour constructors (`ConcurrentTsb::open_durable` and
-//! friends) remain as deprecated thin wrappers for one release.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use tsb_common::{FsyncPolicy, TsbConfig, TsbError, TsbResult, WalMode};
+use tsb_common::{FsyncPolicy, LogicalClock, TsbConfig, TsbError, TsbResult, WalMode};
 
 use crate::concurrent::ConcurrentTsb;
 use crate::replica::ReplicaEngine;
@@ -120,10 +116,20 @@ impl TsbOptions {
     /// Opens a [`ShardedTsb`] primary with these options (one shard
     /// unless [`Self::shards`] said otherwise).
     pub fn open(self) -> TsbResult<ShardedTsb> {
-        #[allow(deprecated)] // the wrappers live on; this is their one caller
         match &self.dir {
-            Some(dir) => ShardedTsb::open_durable(dir, self.shards, self.cfg),
-            None => ShardedTsb::new_in_memory(self.shards, self.cfg),
+            Some(dir) => ShardedTsb::open_dir(dir, self.shards, self.cfg),
+            None => {
+                // `shards` independent engines stamping from one clock.
+                crate::sharded::check_shard_count(self.shards)?;
+                let clock = Arc::new(LogicalClock::new());
+                let engines = (0..self.shards)
+                    .map(|_| {
+                        TsbTree::new_in_memory_with_clock(self.cfg.clone(), Arc::clone(&clock))
+                            .map(ConcurrentTsb::from_tree)
+                    })
+                    .collect::<TsbResult<Vec<_>>>()?;
+                Ok(ShardedTsb::from_shards(engines, clock))
+            }
         }
     }
 
@@ -131,20 +137,15 @@ impl TsbOptions {
     /// serving replication).
     pub fn open_concurrent(self) -> TsbResult<ConcurrentTsb> {
         self.require_single("ConcurrentTsb")?;
-        #[allow(deprecated)]
-        match &self.dir {
-            Some(dir) => ConcurrentTsb::open_durable(dir, self.cfg),
-            None => ConcurrentTsb::new_in_memory(self.cfg),
-        }
+        Ok(ConcurrentTsb::from_tree(self.open_tree()?))
     }
 
     /// Opens a bare single-threaded [`TsbTree`].
     pub fn open_tree(self) -> TsbResult<TsbTree> {
         self.require_single("TsbTree")?;
-        #[allow(deprecated)]
         match &self.dir {
-            Some(dir) => TsbTree::open_durable(dir, self.cfg),
-            None => TsbTree::new_in_memory(self.cfg),
+            Some(dir) => TsbTree::open_dir(dir, self.cfg),
+            None => TsbTree::new_in_memory_with_clock(self.cfg, Arc::new(LogicalClock::new())),
         }
     }
 

@@ -68,17 +68,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use tsb_common::{Key, KeyRange, TimeRange, Timestamp, TsbConfig, TsbError, TsbResult, Version};
-use tsb_storage::{
-    FaultInjector, IoSnapshot, Lsn, MagneticStore, PageId, TailPoll, Wal, WalRecord, WalTailer,
-    WormStore,
-};
+use tsb_storage::{FaultInjector, IoSnapshot, Lsn, PageId, TailPoll, WalRecord, WalTailer};
 
 use crate::concurrent::{ConcurrentSnapshot, ConcurrentTsb};
-use crate::node::NodeAddr;
-use crate::tree::{ReplayPage, TsbTree, MAGNETIC_FILE, WAL_FILE, WORM_FILE};
+use crate::tree::redo::{
+    fence_state, open_stores, remove_stores, FenceState, PageOverlay, RedoPolicy, ReplayPage,
+};
+use crate::tree::TsbTree;
 
 /// Marker file present while a base image install is in progress. A
 /// restart that finds it wipes the half-installed state and waits for a
@@ -254,7 +253,43 @@ impl ReplicationSource {
     /// bootstrap or re-base a replica.
     pub fn base(&self) -> TsbResult<ReplicaBase> {
         let _writer = self.db.lock_writer();
-        self.db.tree().capture_replication_base()
+        let tree = self.db.tree();
+        let wal = tree.wal_handle().ok_or_else(|| {
+            TsbError::config("replication requires a durable (WAL-attached) primary")
+        })?;
+        // After the checkpoint the log is exactly `[Checkpoint]` and the
+        // devices equal the checkpointed state.
+        tree.flush_shared()?;
+        let checkpoint_lsn = wal.last_lsn();
+        if checkpoint_lsn == 0 {
+            return Err(TsbError::internal(
+                "checkpoint fence landed at lsn 0 (a fresh tree logs page images first)",
+            ));
+        }
+        let mut tailer = WalTailer::new(wal.path());
+        let checkpoint = match tailer.poll(checkpoint_lsn - 1, checkpoint_lsn, usize::MAX)? {
+            TailPoll::Batch(mut bodies) if bodies.len() == 1 => bodies.remove(0),
+            _ => {
+                return Err(TsbError::internal(
+                    "the just-written checkpoint fence is not the log's sole record",
+                ))
+            }
+        };
+        let mut ids = tree.magnetic.allocated_page_ids();
+        ids.sort_unstable();
+        let pages = ids
+            .into_iter()
+            .map(|page| Ok((page, tree.magnetic.read(page)?)))
+            .collect::<TsbResult<Vec<_>>>()?;
+        let worm = tree.worm.read_raw(0, tree.worm.device_bytes() as usize)?;
+        Ok(ReplicaBase {
+            checkpoint_lsn,
+            checkpoint,
+            pages,
+            worm,
+            page_size: tree.cfg.page_size,
+            worm_sector_size: tree.cfg.worm_sector_size,
+        })
     }
 }
 
@@ -262,34 +297,40 @@ impl ReplicationSource {
 // Replica side
 // ---------------------------------------------------------------------------
 
-/// A pending fence: the newest shipped commit (or checkpoint) whose state
-/// is staged but not yet installed.
-struct FenceInstall {
-    lsn: Lsn,
-    root: NodeAddr,
-    clock_next: Timestamp,
-    next_txn: u64,
-}
-
 /// The apply-side state, serialized by the apply mutex (one applier —
 /// the subscription runner — at a time; readers never touch it).
 struct ApplyState {
     db: ConcurrentTsb,
     /// Page states from records after the newest seen fence. May yet be
     /// discarded (phantoms); never reaches the device.
-    staged: HashMap<PageId, ReplayPage>,
+    staged: PageOverlay,
     /// Page states as of the newest seen fence, awaiting install.
     fenced: HashMap<PageId, ReplayPage>,
-    /// `(root, next txn id)` of the newest seen fence — what a shipped
-    /// commit with elided metadata inherits.
-    chain: (NodeAddr, u64),
-    /// The newest seen, not-yet-installed commit fence (only the newest
-    /// matters: installs fold).
-    pending: Option<FenceInstall>,
+    /// Metadata of the newest seen fence — what a shipped commit with
+    /// elided metadata inherits, and what the next install writes.
+    chain: FenceState,
+    /// LSN of the newest seen, not-yet-installed commit fence (only the
+    /// newest matters: installs fold).
+    pending: Option<Lsn>,
     /// LSN of the newest record in the local log: the resume cursor.
     last_lsn: Lsn,
     /// LSN of the newest installed fence.
     applied_lsn: Lsn,
+}
+
+impl ApplyState {
+    /// Stages one shipped page record. A delta whose page has no staged
+    /// state applies to a copy of the page's fenced state, else to its
+    /// device image: the page's first touch predates this replica's log,
+    /// and the device equals the last installed fence.
+    fn stage(&mut self, record: WalRecord) -> TsbResult<()> {
+        let tree = self.db.tree();
+        let fenced = &self.fenced;
+        self.staged.stage(record, |page| match fenced.get(&page) {
+            Some(state) => Ok(Some(state.clone())),
+            None => Ok(Some(ReplayPage::Raw(tree.magnetic.read(page)?))),
+        })
+    }
 }
 
 struct ReplicaInner {
@@ -424,10 +465,17 @@ impl ReplicaEngine {
     /// newest durable commit fence. The replica stops serving; this handle
     /// is only good for [`Self::reopen`] afterwards.
     pub fn close(&self) {
+        drop(self.stop());
+    }
+
+    /// Stops serving and drops the apply state; returns the (now empty)
+    /// apply slot, still locked.
+    fn stop(&self) -> MutexGuard<'_, Option<ApplyState>> {
         let mut apply = self.inner.apply.lock();
         *self.inner.serving.write() = None;
         *apply = None;
         self.inner.applied_lsn.store(0, Ordering::Release);
+        apply
     }
 
     /// Wires `injector` into every device the replica writes, for crash
@@ -444,21 +492,13 @@ impl ReplicaEngine {
     /// state — the in-process equivalent of killing and restarting the
     /// replica. Returns whether the replica is serving afterwards.
     pub fn reopen(&self) -> TsbResult<bool> {
-        let mut apply = self.inner.apply.lock();
-        *self.inner.serving.write() = None;
-        *apply = None;
-        self.inner.applied_lsn.store(0, Ordering::Release);
+        let mut apply = self.stop();
 
         let marker = self.inner.dir.join(INSTALLING_MARKER);
         if marker.exists() {
             // A base install died part-way: none of the files are
             // trustworthy. Wipe and wait for a fresh base.
-            for f in [MAGNETIC_FILE, WORM_FILE, WAL_FILE] {
-                let path = self.inner.dir.join(f);
-                if path.exists() {
-                    std::fs::remove_file(&path)?;
-                }
-            }
+            remove_stores(&self.inner.dir)?;
             std::fs::remove_file(&marker)?;
             return Ok(false);
         }
@@ -470,12 +510,11 @@ impl ReplicaEngine {
             rec.tree.set_fault_injector(injector);
         }
         let db = ConcurrentTsb::from_tree(rec.tree);
-        let (root, _, next_txn) = rec.cut_state;
         let mut st = ApplyState {
             db: db.clone(),
-            staged: HashMap::new(),
+            staged: PageOverlay::default(),
             fenced: HashMap::new(),
-            chain: (root, next_txn),
+            chain: rec.cut_state,
             pending: None,
             last_lsn: rec.last_lsn,
             applied_lsn: rec.applied_lsn,
@@ -484,28 +523,7 @@ impl ReplicaEngine {
         // records whose fence has not arrived yet. Their fence (or a
         // checkpoint discarding them) comes through the stream.
         for record in rec.tail {
-            match record {
-                WalRecord::PageImage { page, bytes } => {
-                    st.staged.insert(page, ReplayPage::Raw(bytes));
-                }
-                WalRecord::PageDelta { page, op } => {
-                    if let std::collections::hash_map::Entry::Vacant(e) = st.staged.entry(page) {
-                        // Fenced overlay is empty right after recovery;
-                        // the device equals the cut fence state — a valid
-                        // delta base.
-                        e.insert(ReplayPage::Raw(st.db.tree().replica_read_page(page)?));
-                    }
-                    st.staged
-                        .get_mut(&page)
-                        .expect("entry just ensured")
-                        .apply(&op)?;
-                }
-                _ => {
-                    return Err(TsbError::corruption(
-                        "replica log tail holds a fence record past the recovery cut",
-                    ))
-                }
-            }
+            st.stage(record)?;
         }
         self.inner
             .applied_lsn
@@ -534,10 +552,7 @@ impl ReplicaEngine {
             )));
         }
         {
-            let mut apply = self.inner.apply.lock();
-            *self.inner.serving.write() = None;
-            *apply = None;
-            self.inner.applied_lsn.store(0, Ordering::Release);
+            let _apply = self.stop();
 
             std::fs::create_dir_all(&self.inner.dir)?;
             let marker = self.inner.dir.join(INSTALLING_MARKER);
@@ -545,37 +560,17 @@ impl ReplicaEngine {
                 let f = std::fs::File::create(&marker)?;
                 f.sync_all()?;
             }
-            for f in [MAGNETIC_FILE, WORM_FILE, WAL_FILE] {
-                let path = self.inner.dir.join(f);
-                if path.exists() {
-                    std::fs::remove_file(&path)?;
-                }
-            }
-            let stats = Arc::new(tsb_storage::IoStats::new());
-            let magnetic = MagneticStore::open_file(
-                self.inner.dir.join(MAGNETIC_FILE),
-                self.inner.cfg.page_size,
-                Arc::clone(&stats),
-            )?;
+            remove_stores(&self.inner.dir)?;
+            let (stores, wal, _) = open_stores(&self.inner.dir, &self.inner.cfg)?;
             for (page, bytes) in &base.pages {
-                magnetic.restore(*page, bytes)?;
+                stores.magnetic.restore(*page, bytes)?;
             }
-            magnetic.sync()?;
-            let worm = WormStore::open_file(
-                self.inner.dir.join(WORM_FILE),
-                self.inner.cfg.worm_sector_size,
-                Arc::clone(&stats),
-            )?;
-            worm.restore_tail(0, &base.worm)?;
-            worm.sync()?;
-            let wal = Wal::create(
-                self.inner.dir.join(WAL_FILE),
-                self.inner.cfg.fsync_policy,
-                stats,
-            )?;
+            stores.magnetic.sync()?;
+            stores.worm.restore_tail(0, &base.worm)?;
+            stores.worm.sync()?;
             wal.append_shipped(&base.checkpoint)?;
             wal.sync()?;
-            drop(wal);
+            drop((stores, wal));
             std::fs::remove_file(&marker)?;
         }
         if !self.reopen()? {
@@ -640,77 +635,36 @@ impl ReplicaEngine {
                 // Reconnect overlap: already in the local log.
                 continue;
             }
+            RedoPolicy::Replica.admit(&record)?;
             match record {
-                WalRecord::PageImage { page, bytes } => {
+                WalRecord::PageImage { .. } | WalRecord::PageDelta { .. } => {
                     wal.append_shipped(body)?;
-                    st.staged.insert(page, ReplayPage::Raw(bytes));
-                }
-                WalRecord::PageDelta { page, op } => {
-                    wal.append_shipped(body)?;
-                    if let std::collections::hash_map::Entry::Vacant(e) = st.staged.entry(page) {
-                        let base = match st.fenced.get(&page) {
-                            Some(ReplayPage::Raw(b)) => b.clone(),
-                            Some(ReplayPage::Decoded(n)) => n.encode(),
-                            // First touch predates this replica's log:
-                            // the device equals the last installed fence.
-                            None => tree.replica_read_page(page)?,
-                        };
-                        e.insert(ReplayPage::Raw(base));
-                    }
-                    st.staged
-                        .get_mut(&page)
-                        .expect("entry just ensured")
-                        .apply(&op)?;
+                    st.stage(record)?;
                 }
                 WalRecord::Commit { ts, meta, .. } => {
                     wal.append_shipped(body)?;
-                    let ts = Timestamp(ts);
-                    let (root, clock_next, next_txn) = if meta.is_empty() {
-                        (st.chain.0, ts.next(), st.chain.1)
-                    } else {
-                        TsbTree::decode_meta(&meta)?
-                    };
-                    st.chain = (root, next_txn);
-                    let staged: Vec<(PageId, ReplayPage)> = st.staged.drain().collect();
-                    for (page, state) in staged {
-                        st.fenced.insert(page, state);
-                    }
-                    st.pending = Some(FenceInstall {
-                        lsn,
-                        root,
-                        clock_next,
-                        next_txn,
-                    });
+                    st.chain = fence_state(Some(st.chain), Timestamp(ts), &meta)?;
+                    let staged = std::mem::take(&mut st.staged);
+                    st.fenced.extend(staged.into_pages());
+                    st.pending = Some(lsn);
                 }
                 WalRecord::Checkpoint { meta, .. } => {
                     // Phantom discard: un-fenced records describe state
                     // the primary's log reset threw away.
-                    st.staged.clear();
+                    st.staged = PageOverlay::default();
                     // Sound local recovery base: earlier records durable
                     // in the local log, then the devices flushed + synced
                     // to exactly the checkpointed state, then the record.
                     wal.sync()?;
-                    let (root, clock_next, next_txn) = TsbTree::decode_meta(&meta)?;
-                    st.chain = (root, next_txn);
-                    Self::install(
-                        &db,
-                        st,
-                        FenceInstall {
-                            lsn,
-                            root,
-                            clock_next,
-                            next_txn,
-                        },
-                    )?;
+                    st.chain = TsbTree::decode_meta(&meta)?;
+                    Self::install(&db, st, lsn)?;
                     tree.replica_sync_devices()?;
                     wal.append_shipped(body)?;
                     wal.sync()?;
                     st.pending = None;
                 }
                 WalRecord::Prepare { .. } | WalRecord::Decision { .. } => {
-                    return Err(TsbError::config(
-                        "replication of a sharded (two-phase-commit) primary is not supported",
-                    ));
+                    unreachable!("a replica admits no two-phase-commit record")
                 }
             }
             st.last_lsn = lsn;
@@ -718,8 +672,8 @@ impl ReplicaEngine {
 
         // 3. Local durability, then the batch's newest fence installs.
         wal.sync()?;
-        if let Some(fence) = st.pending.take() {
-            Self::install(&db, st, fence)?;
+        if let Some(lsn) = st.pending.take() {
+            Self::install(&db, st, lsn)?;
         }
         self.inner
             .applied_lsn
@@ -728,28 +682,29 @@ impl ReplicaEngine {
         Ok(())
     }
 
-    /// Installs the fenced overlay and a fence's metadata under the
-    /// writer lock, then advances the read fence to the fence's commit
-    /// timestamp. The structure epoch is marked in flight so concurrent
-    /// readers retry around the multi-page install.
-    fn install(db: &ConcurrentTsb, st: &mut ApplyState, fence: FenceInstall) -> TsbResult<()> {
+    /// Installs the fenced overlay and the newest seen fence's metadata
+    /// (the fence at `lsn`) under the writer lock, then advances the read
+    /// fence to the fence's commit timestamp. The structure epoch is
+    /// marked in flight so concurrent readers retry around the multi-page
+    /// install.
+    fn install(db: &ConcurrentTsb, st: &mut ApplyState, lsn: Lsn) -> TsbResult<()> {
         let tree = db.tree();
         {
             let _writer = db.lock_writer();
             tree.check_not_poisoned()?;
             tree.note_structural_write();
             let result = (|| -> TsbResult<()> {
-                let fenced: Vec<(PageId, ReplayPage)> = st.fenced.drain().collect();
-                for (page, state) in fenced {
+                for (page, state) in st.fenced.drain() {
                     tree.replica_install_page(page, &state.into_bytes())?;
                 }
-                tree.replica_install_meta(fence.root, fence.clock_next, fence.next_txn)
+                tree.replica_install_meta(st.chain)
             })();
             tree.settle_structure();
             result?;
         }
-        db.advance_fence(fence.clock_next.prev());
-        st.applied_lsn = fence.lsn;
+        let (_, clock_next, _) = st.chain;
+        db.advance_fence(clock_next.prev());
+        st.applied_lsn = lsn;
         Ok(())
     }
 

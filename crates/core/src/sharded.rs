@@ -69,7 +69,7 @@
 
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -81,7 +81,8 @@ use tsb_common::{
 use tsb_storage::{CrashPoint, FaultInjector, IoSnapshot, Lsn};
 
 use crate::concurrent::ConcurrentTsb;
-use crate::tree::{StagedRecovery, TsbTree};
+use crate::tree::redo::resolve;
+use crate::tree::TsbTree;
 
 /// Name of the shard-count manifest inside a sharded data directory.
 const MANIFEST_FILE: &str = "shards.manifest";
@@ -155,7 +156,7 @@ impl std::fmt::Debug for ShardedTsb {
 impl ShardedTsb {
     // ----- construction ---------------------------------------------------
 
-    fn from_shards(shards: Vec<ConcurrentTsb>, clock: Arc<LogicalClock>) -> Self {
+    pub(crate) fn from_shards(shards: Vec<ConcurrentTsb>, clock: Arc<LogicalClock>) -> Self {
         debug_assert!(!shards.is_empty());
         ShardedTsb {
             inner: Arc::new(ShardedInner {
@@ -178,24 +179,6 @@ impl ShardedTsb {
         Self::from_shards(vec![db], clock)
     }
 
-    /// Creates a fresh sharded engine over in-memory stores: `shards`
-    /// independent engines stamping from one clock. No durability — the
-    /// oracle-equivalence and routing tests use this.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::in_memory().config(cfg).shards(n).open()`"
-    )]
-    pub fn new_in_memory(shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
-        check_shard_count(shards)?;
-        let clock = Arc::new(LogicalClock::new());
-        let mut engines = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let tree = TsbTree::new_in_memory_with_clock(cfg.clone(), Arc::clone(&clock))?;
-            engines.push(ConcurrentTsb::from_tree(tree));
-        }
-        Ok(Self::from_shards(engines, clock))
-    }
-
     /// Opens (or creates) a durable sharded engine rooted at `dir`.
     ///
     /// * `shards == 1` with no manifest uses the flat single-engine layout
@@ -214,13 +197,8 @@ impl ShardedTsb {
     /// the shared clock), and resolves in-doubt two-phase prepares against
     /// the coordinator shard's decision record before any shard is
     /// checkpointed — see the [module docs](self).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TsbOptions::durable(dir).config(cfg).shards(n).open()`"
-    )]
-    pub fn open_durable(dir: impl AsRef<Path>, shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
+    pub(crate) fn open_dir(dir: &Path, shards: usize, cfg: TsbConfig) -> TsbResult<Self> {
         check_shard_count(shards)?;
-        let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let manifest = dir.join(MANIFEST_FILE);
         let persisted = match read_manifest(&manifest)? {
@@ -236,76 +214,48 @@ impl ShardedTsb {
             }
             None => false,
         };
-        if !persisted {
-            let flat = dir.join("redo.wal").exists();
-            if flat && shards != 1 {
-                return Err(TsbError::config(format!(
-                    "directory {} holds a flat single-shard database; reopening \
-                     with {shards} shards would re-partition it",
-                    dir.display()
-                )));
-            }
-            if !flat && shards == 1 {
-                // Fresh directory, one shard: keep the flat layout.
-            } else if !flat {
+        let flat = !persisted && dir.join("redo.wal").exists();
+        if flat && shards != 1 {
+            return Err(TsbError::config(format!(
+                "directory {} holds a flat single-shard database; reopening \
+                 with {shards} shards would re-partition it",
+                dir.display()
+            )));
+        }
+        // One shard without a manifest keeps the flat layout.
+        let shard_dirs: Vec<PathBuf> = if shards == 1 && !persisted {
+            vec![dir.to_path_buf()]
+        } else {
+            if !persisted {
                 write_manifest(&manifest, shards)?;
             }
-        }
-        if shards == 1 && !persisted {
-            #[allow(deprecated)]
-            let db = ConcurrentTsb::open_durable(dir, cfg)?;
-            return Ok(Self::single(db));
-        }
+            (0..shards)
+                .map(|i| dir.join(format!("shard-{i:03}")))
+                .collect()
+        };
 
         let clock = Arc::new(LogicalClock::new());
-        let mut staged: Vec<StagedRecovery> = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let shard_dir = dir.join(format!("shard-{i:03}"));
-            staged.push(TsbTree::open_durable_staged(
-                shard_dir,
-                cfg.clone(),
-                Arc::clone(&clock),
-            )?);
-        }
+        let mut staged = shard_dirs
+            .iter()
+            .map(|shard_dir| {
+                TsbTree::open_durable_staged(shard_dir, cfg.clone(), Arc::clone(&clock))
+            })
+            .collect::<TsbResult<Vec<_>>>()?;
         // Resolve every shard's in-doubt prepares against the coordinator
         // shard's decision log *before* finishing (checkpointing) any
         // shard: a finish resets that shard's WAL, erasing the records the
         // other shards' resolutions depend on.
-        let mut resolutions: Vec<(usize, TxnId, Timestamp, bool)> = Vec::new();
-        for (i, shard) in staged.iter().enumerate() {
-            for p in shard.in_doubt() {
-                let coordinator = p.coordinator as usize;
-                let commit = staged
-                    .get(coordinator)
-                    .map(|c| c.has_decision(p.ts))
-                    .unwrap_or(false);
-                resolutions.push((i, p.txn, p.ts, commit));
-            }
-        }
-        for (i, txn, ts, commit) in resolutions {
-            if commit {
-                staged[i].commit_in_doubt(txn, ts)?;
-            } else {
-                staged[i].abort_in_doubt(txn)?;
-            }
-        }
+        resolve(&mut staged)?;
         // Finish in descending shard order so every coordinator (lowest
         // index among its participants) is checkpointed last: if the
         // reopen crashes part-way, any participant still holding an
         // unresolved prepare can still find the decision on its
         // coordinator at the next reopen.
-        let mut engines: Vec<Option<ConcurrentTsb>> = (0..shards).map(|_| None).collect();
-        for i in (0..shards).rev() {
-            let tree = staged
-                .pop()
-                .expect("one staged recovery per shard")
-                .finish()?;
-            engines[i] = Some(ConcurrentTsb::from_tree(tree));
+        let mut engines = Vec::with_capacity(shards);
+        while let Some(shard) = staged.pop() {
+            engines.push(ConcurrentTsb::from_tree(shard.finish()?));
         }
-        let engines = engines
-            .into_iter()
-            .map(|e| e.expect("every shard finished"))
-            .collect();
+        engines.reverse();
         Ok(Self::from_shards(engines, clock))
     }
 
@@ -777,7 +727,7 @@ pub fn shard_of(key: &Key, n: usize) -> usize {
     (fnv1a64(key.as_bytes()) % n as u64) as usize
 }
 
-fn check_shard_count(shards: usize) -> TsbResult<()> {
+pub(crate) fn check_shard_count(shards: usize) -> TsbResult<()> {
     if shards == 0 || shards > MAX_SHARDS {
         return Err(TsbError::config(format!(
             "shard count must be in 1..={MAX_SHARDS}, got {shards}"
